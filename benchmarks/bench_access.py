@@ -1,20 +1,18 @@
 """Access-observatory cost on the hot path (the PR 9 <5% gate).
 
-One question, one artifact section: what does stacking
-:class:`~repro.target.interface.AccessTracingBackend` into every
-session's backend chain cost a query that never asks for an access
-profile?  The observatory's promise is a hot path untouched when off
-(the evaluator splices the access hop out whenever no tracer is
-attached); this suite measures that promise on the paper's P3
-workload and gates it:
+One question, one artifact section: what does the access-tracer hook
+in :class:`~repro.target.interface.TargetPort` cost a query that never
+asks for an access profile?  The observatory's promise is a hot path
+that pays one ``is not None`` predicate per read/write when off; this
+suite measures that promise on the paper's P3 workload and gates it:
 
-* **shipped** — a stock :class:`~repro.DuelSession`: the access
-  backend is in the chain (as every session now builds it) but no
-  tracer is attached.  This is the configuration every query runs in.
-* **no_access_backend** — the same session with the access wrapper
-  spliced *out* of the chain (the pre-PR-9 stack, reconstructed).
-  ``shipped/no_access_backend`` p50 is the off-overhead, gated at
-  ``--max-access-overhead`` (CI: 1.05).
+* **shipped** — a stock :class:`~repro.DuelSession`: the port carries
+  the access predicate but no tracer is attached.  This is the
+  configuration every query runs in.
+* **no_access_backend** — the same session whose port reads and
+  writes without the access predicate (the stack as it was before
+  the observatory, reconstructed).  ``shipped/no_access_backend`` p50
+  is the off-overhead, gated at ``--max-access-overhead`` (CI: 1.05).
 * **access_on** — every query runs fully traced + profiled through
   :meth:`~repro.core.session.DuelSession.accesses`.  Reported for
   honesty, *not* gated: profiling is opt-in (the ``accesses``
@@ -47,6 +45,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import DuelSession, SimulatorBackend   # noqa: E402
 from repro.bench import workloads                 # noqa: E402
+from repro.target.interface import TargetPort     # noqa: E402
 
 #: The paper's P3 scaling workload (same as every other suite).
 P3_SIZE = 1000
@@ -74,19 +73,33 @@ def make_session() -> DuelSession:
                        symbolic=False)
 
 
-def splice_out_access_backend(session: DuelSession) -> None:
-    """Reconstruct the pre-PR-9 chain: TracingBackend → Governed…
+class _PortWithoutAccess(TargetPort):
+    """The target port's read/write with the access predicate removed:
+    counting and span attribution stay, exactly as the shipped port
+    does them, so the ratio isolates the observatory's hook."""
 
-    The tracing wrapper binds its inner read/write methods at
-    construction, so removing the access wrapper means rebinding
-    them too — the spliced chain pays exactly the old number of
-    attribute hops, which is the whole point of the comparison.
+    def get_target_bytes(self, address: int, size: int) -> bytes:
+        self.reads += 1
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.on_read()
+        return self.inner.get_target_bytes(address, size)
+
+    def put_target_bytes(self, address: int, data: bytes) -> None:
+        self.writes += 1
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.on_write()
+        self.inner.put_target_bytes(address, data)
+
+
+def splice_out_access_backend(session: DuelSession) -> None:
+    """Reconstruct the pre-observatory port: no access predicate.
+
+    Swapping the port's class keeps every reference the evaluator,
+    its value operations and its scope hold on the same object.
     """
-    tracing = session.evaluator.backend
-    access = tracing.inner
-    tracing.inner = access.inner
-    tracing._inner_get = tracing.inner.get_target_bytes
-    tracing._inner_put = tracing.inner.put_target_bytes
+    session.evaluator.backend.__class__ = _PortWithoutAccess
 
 
 def run_once(name: str, session: DuelSession) -> float:

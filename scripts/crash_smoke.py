@@ -120,35 +120,43 @@ def reader_loop(client, stop, record):
     record["errors"] = errors
 
 
-def check_checkpoint_epoch(state_dir):
-    """The durable checkpoint must carry the target's memory epoch.
+def check_checkpoint_restores(state_dir, source):
+    """The newest durable checkpoint must restore the committed state.
 
-    Page caches (PR 10) invalidate on epoch movement; a recovered
-    server restores the checkpoint snapshot and advances past its
-    recorded epoch, so no session can ever serve pre-crash cached
-    pages.  This guards the serialization side: the ``DUELSNAP1``
-    payload inside the newest checkpoint actually records an epoch.
+    Its ``DUELSNAP1`` blob is deserialized against a freshly built
+    copy of the served program and restored onto it — the same path
+    a recovering server takes — and the restored target must show
+    every client's single committed increment (the clean stop of the
+    recovered lifetime checkpoints after all of them).
     """
-    import pickle
-    import zlib
+    import io
 
+    from repro.cli import build_target
+    from repro.core.session import DuelSession
     from repro.serve.journal import StateStore
-    from repro.target.snapshot import SNAP_MAGIC
+    from repro.target import snapshot
+    from repro.target.interface import SimulatorBackend
 
     loaded = StateStore(state_dir, fsync="off").load_checkpoint()
     if loaded is None:
         fail(f"no valid checkpoint found under {state_dir!r}")
     lsn, payload = loaded
-    blob = payload.get("snapshot", b"")
-    if not blob.startswith(SNAP_MAGIC):
-        fail("checkpoint snapshot is not a DUELSNAP1 blob")
-    snap = pickle.loads(zlib.decompress(blob[len(SNAP_MAGIC):]))
-    epoch = snap.get("epoch")
-    if not isinstance(epoch, int) or epoch <= 0:
-        fail(f"checkpoint lsn {lsn} snapshot carries no usable "
-             f"memory epoch (got {epoch!r})")
-    print(f"checkpoint epoch ok: lsn {lsn} snapshot records "
-          f"epoch {epoch}")
+    program = build_target(source, [], io.StringIO())
+    try:
+        snap = snapshot.Snapshot.deserialize(payload.get("snapshot", b""),
+                                             program)
+    except ValueError as error:
+        fail(f"checkpoint lsn {lsn} snapshot does not deserialize: "
+             f"{error}")
+    snapshot.restore(program, snap)
+    session = DuelSession(SimulatorBackend(program))
+    want = [value + 7 for value in INITIAL]
+    got = session.eval_values(f"data[..{CLIENTS}]")
+    if got != want:
+        fail(f"checkpoint lsn {lsn} restored data[..{CLIENTS}] = {got}, "
+             f"want {want}")
+    print(f"checkpoint ok: lsn {lsn} snapshot restores onto a fresh "
+          f"program with data[..{CLIENTS}] = {got}")
 
 
 def check_exactly_once(qlog_paths):
@@ -320,7 +328,7 @@ def main():
         timer.cancel()
         server.terminate()
 
-    check_checkpoint_epoch(state_dir)
+    check_checkpoint_restores(state_dir, source)
     check_exactly_once(qlogs)
     print("crash smoke: all checks passed")
 

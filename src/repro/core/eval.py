@@ -40,8 +40,7 @@ from repro.core.errors import (
     DuelTypeError,
 )
 from repro.core.governor import ResourceGovernor
-from repro.target.interface import (AccessTracingBackend, GovernedBackend,
-                                    TracingBackend)
+from repro.target.interface import TargetPort
 from repro.target.memory import TargetMemoryFault
 from repro.core.ops import Apply
 from repro.core.scope import Scope, WithEntry
@@ -176,22 +175,9 @@ class Evaluator:
     def __init__(self, backend, options: Optional[EvalOptions] = None):
         self.options = options or EvalOptions()
         self.governor = self.options.governor
-        # All target traffic flows through the governed wrapper so
-        # call/allocation quotas and the cancel token are enforced at
-        # the interface boundary, whatever engine drives the AST; the
-        # access wrapper streams (op, address, size) to the memory
-        # observatory when a tracer is attached; the tracing wrapper
-        # outermost counts reads/writes/calls and attributes them to
-        # the active trace span.
-        self.governed_backend = GovernedBackend(backend, self.governor)
-        self.access_backend = AccessTracingBackend(self.governed_backend)
-        self.backend = TracingBackend(self.access_backend)
-        #: The active PageCachingBackend, or None (cache off: the hop
-        #: is spliced out of the chain entirely, same discipline as
-        #: the access tracer).
-        self.page_cache = None
-        # Start with the access hop spliced out (no tracer attached).
-        self.set_access_tracer(None)
+        #: The one hop to the target: counts, traces and governs every
+        #: read/write/call/alloc, whatever engine drives the AST.
+        self.backend = TargetPort(backend, self.governor)
         #: The active QueryTracer, or None (tracing off: the only cost
         #: is the predicate check in :meth:`eval`).
         self.tracer = None
@@ -255,83 +241,18 @@ class Evaluator:
 
         Cached string-literal addresses point into allocations that a
         snapshot restore has undone; keeping them would alias whatever
-        the target allocates there next.  The page cache would catch
-        the restore by itself on the next read (the memory epoch
-        moved), but the explicit flush keeps the contract obvious.
+        the target allocates there next.
         """
         self._string_cache.clear()
-        if self.page_cache is not None:
-            self.page_cache.invalidate_all()
 
     def set_tracer(self, tracer) -> None:
         """Attach (or detach, with None) a per-query tracer.
 
-        Propagated to the tracing backend so target traffic lands on
-        the span of whichever node is being pulled.
+        Propagated to the target port so target traffic lands on the
+        span of whichever node is being pulled.
         """
         self.tracer = tracer
         self.backend.tracer = tracer
-
-    def set_access_tracer(self, tracer) -> None:
-        """Attach (or detach, with None) a memory-access tracer.
-
-        The tracer receives ``on_access(op, address, size)`` for every
-        target read/write at the interface boundary.  Detaching
-        splices the access hop out of the hot path entirely: the
-        outer counting backend's bound read/write methods are repointed
-        straight at the governed backend, so an untraced query pays
-        *zero* extra frames for the observatory — rebinding costs a
-        few attribute stores per attach/detach, paid only by profiled
-        queries.
-        """
-        access = self.access_backend
-        access.tracer = tracer
-        outer = self.backend
-        if tracer is None:
-            outer._inner_get = access._inner_get
-            outer._inner_put = access._inner_put
-        else:
-            outer._inner_get = access.get_target_bytes
-            outer._inner_put = access.put_target_bytes
-
-    def set_page_cache(self, policy) -> None:
-        """Install (or remove, with None/'off') the target page cache.
-
-        ``policy`` is a :class:`~repro.target.pagecache.PageCachePolicy`
-        (or None).  The cache slots *between* the access wrapper and
-        the governed backend — the access tracer keeps seeing every
-        logical read (the engine-parity oracle and scan classifier
-        stay cache-independent) while the cache turns runs of small
-        reads into bulk inner ones.  With the cache off nothing is in
-        the chain at all: the access wrapper's bound inner methods
-        point straight at the governed backend, exactly the pre-cache
-        stack.  Requires a backend that exposes the target's memory
-        (for the coherence epoch); without one the cache is refused
-        and the chain is left untouched.
-        """
-        from repro.target.pagecache import PageCachingBackend
-
-        access = self.access_backend
-        governed = self.governed_backend
-        if policy is None or not getattr(policy, "enabled", False):
-            self.page_cache = None
-            inner = governed
-        else:
-            memory = getattr(getattr(governed, "program", None),
-                             "memory", None)
-            if memory is None:
-                self.page_cache = None
-                inner = governed
-            else:
-                self.page_cache = PageCachingBackend(
-                    governed, policy, lambda: memory.epoch)
-                inner = self.page_cache
-        access.inner = inner
-        access._inner_get = inner.get_target_bytes
-        access._inner_put = inner.put_target_bytes
-        # Re-run the access splice so the outer counter's bound
-        # methods point at the right next hop.
-        self.set_access_tracer(access.tracer)
 
     def eval(self, node: N.Node) -> Iterator[DuelValue]:
         """All values of ``node``, lazily (the paper's ``eval``)."""

@@ -23,7 +23,7 @@ The governor is threaded through both evaluation engines (the
 generator :class:`~repro.core.eval.Evaluator` and the paper's explicit
 :class:`~repro.core.statemachine.StateMachineEvaluator`), the session
 drive/print loop, and the debugger-interface boundary
-(:class:`~repro.target.interface.GovernedBackend`), so the two engines
+(:class:`~repro.target.interface.TargetPort`), so the two engines
 trip identical budgets at identical counts and a ^C lands between
 target operations as well as between generator steps.
 

@@ -56,8 +56,7 @@ class DuelSession:
                  max_steps: int = 10_000_000, cycle_mode: str = "stop",
                  optimize: bool = False, deadline_ms=_KEEP_DEFAULT,
                  max_lines=_KEEP_DEFAULT,
-                 metrics: Optional[MetricsRegistry] = None,
-                 page_cache=None):
+                 metrics: Optional[MetricsRegistry] = None):
         self.backend = backend
         self.options = EvalOptions(symbolic=symbolic, max_steps=max_steps,
                                    cycle_mode=cycle_mode,
@@ -69,17 +68,6 @@ class DuelSession:
         #: be done at compile time"); display text is preserved.
         self.optimize = optimize
         self.evaluator = Evaluator(backend, self.options)
-        #: Target page-cache policy (``--page-cache``): None/'off'
-        #: leaves the chain untouched, 'demand'/'adaptive' (or a
-        #: :class:`~repro.target.pagecache.PageCachePolicy`) splices
-        #: a :class:`~repro.target.pagecache.PageCachingBackend` in.
-        if isinstance(page_cache, str):
-            from repro.target.pagecache import parse_policy
-            page_cache = None if page_cache == "off" \
-                else parse_policy(page_cache)
-        self.page_cache_policy = page_cache
-        if page_cache is not None:
-            self.evaluator.set_page_cache(page_cache)
         self.parser = DuelParser(is_type_name=self.evaluator.is_type_name)
         self.formatter = ValueFormatter(self.evaluator.ops,
                                         float_format=float_format)
@@ -495,12 +483,12 @@ class DuelSession:
             tracer.begin(node, text)
             self.evaluator.set_tracer(tracer)
         atracer = AccessTracer(spans=tracer)
-        self.evaluator.set_access_tracer(atracer)
+        self.evaluator.backend.access = atracer
         return tracer, atracer
 
     def _finish_access(self, atracer) -> None:
         """Detach the access tracer and freeze its profile."""
-        self.evaluator.set_access_tracer(None)
+        self.evaluator.backend.access = None
         self.last_access_records = atracer.records()
         self.last_access = atracer.profile(self.access_page_size)
 
@@ -527,58 +515,16 @@ class DuelSession:
                 result[key] = info[key]
         if self.last_fingerprint is not None:
             result["fingerprint"] = self.last_fingerprint.hash
-        cache = self.evaluator.page_cache
-        if cache is not None:
-            result["cache"] = self.cache_report()
         return result
-
-    def cache_report(self) -> dict:
-        """Measured page-cache behaviour vs. the advisor's projection.
-
-        The closing of PR 9's loop: the advisor *projected* hit rates
-        by replaying traces through a simulated LRU; with the real
-        cache attached this reports what the query actually saw at
-        the configured (page size, capacity) point next to what the
-        simulation projects for the same recorded trace — a live
-        calibration check for the advisor's model.  Empty dict when
-        no cache is attached.
-        """
-        cache = self.evaluator.page_cache
-        if cache is None:
-            return {}
-        stats = self.last_query_stats
-        report = {
-            "mode": cache.policy.mode,
-            "page_size": cache.policy.page_size,
-            "capacity": cache.policy.capacity,
-            "hits": stats.get("cache_hits", 0),
-            "misses": stats.get("cache_misses", 0),
-            "physical_reads": stats.get("physical_reads", 0),
-            "logical_reads": stats.get("reads", 0),
-            "prefetched_bytes": stats.get("prefetched_bytes", 0),
-            "measured_hit_rate": stats.get("cache_hit_rate", 0.0),
-            "pattern": cache.stats()["pattern"],
-        }
-        if self.last_access_records:
-            from repro.obs.access import simulate_page_cache
-            projection = simulate_page_cache(self.last_access_records,
-                                             cache.policy.page_size,
-                                             cache.policy.capacity)
-            report["projected_hit_rate"] = projection["hit_rate"]
-            report["projection_gap"] = round(
-                report["measured_hit_rate"] - projection["hit_rate"], 4)
-        return report
 
     def _stats_baseline(self) -> tuple:
         """Cumulative counters sampled at query start (deltas later)."""
         backend = self.evaluator.backend
         evaluator = self.evaluator
         self._format_ns = 0
-        cache = evaluator.page_cache
         return (backend.reads, backend.writes, backend.calls,
                 backend.allocs, evaluator.scope.lookup_count,
-                evaluator.string_cache_hits, evaluator.string_cache_misses,
-                cache.counters() if cache is not None else None)
+                evaluator.string_cache_hits, evaluator.string_cache_misses)
 
     def _finish_query(self, tracer: Optional[QueryTracer], baseline: tuple,
                       parse_ns: int, drive_ns: int) -> None:
@@ -596,8 +542,7 @@ class DuelSession:
             self.last_trace = tracer
         backend = self.evaluator.backend
         evaluator = self.evaluator
-        (reads0, writes0, calls0, allocs0, lookups0, hits0, misses0,
-         cache0) = baseline
+        reads0, writes0, calls0, allocs0, lookups0, hits0, misses0 = baseline
         traffic = {
             "reads": backend.reads - reads0,
             "writes": backend.writes - writes0,
@@ -607,20 +552,6 @@ class DuelSession:
         stats = self.governor.stats()
         stats.update(traffic)
         stats["lookups"] = evaluator.scope.lookup_count - lookups0
-        cache = evaluator.page_cache
-        cache_deltas = None
-        if cache is not None and cache0 is not None:
-            # Logical reads (``reads`` above, counted over the cache)
-            # and physical inner reads diverge by design; both travel
-            # so ``reads_per_value`` stays honest downstream.
-            now = cache.counters()
-            cache_deltas = {name: now[name] - cache0[name]
-                            for name in cache0}
-            stats.update(cache_deltas)
-            looked = cache_deltas["cache_hits"] \
-                + cache_deltas["cache_misses"]
-            stats["cache_hit_rate"] = round(
-                cache_deltas["cache_hits"] / looked, 4) if looked else 0.0
         self.last_query_stats = stats
         format_ns = self._format_ns
         self.last_query_phases = {
@@ -634,13 +565,6 @@ class DuelSession:
                 evaluator.string_cache_hits - hits0)
             self.metrics.counter("string_cache_misses").inc(
                 evaluator.string_cache_misses - misses0)
-            if cache_deltas is not None:
-                for name in ("cache_hits", "cache_misses",
-                             "cache_evictions", "physical_reads",
-                             "prefetched_bytes", "prefetch_hits"):
-                    self.metrics.counter(name).inc(cache_deltas[name])
-                self.metrics.gauge("cache_hit_rate").set(
-                    round(self.metrics.cache_rate("cache"), 4))
 
     def _observe_query(self, qid: Optional[int], text: str, failure,
                        tracer: Optional[QueryTracer]) -> None:

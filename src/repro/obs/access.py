@@ -6,7 +6,7 @@ target traffic lands: BENCH_3 records ``hash_scan`` issuing 1234
 ``get_target_bytes`` calls to yield 2 values with no addresses, no
 strides, no locality.  This module instruments the same narrow
 DebuggerInterface Hanson's design already funnels everything through
-(:class:`~repro.target.interface.AccessTracingBackend` is the hook)
+(:class:`~repro.target.interface.TargetPort` is the hook)
 and turns the raw access stream into answers:
 
 * :class:`AccessTracer` — a bounded, lock-safe ring of per-query
@@ -24,20 +24,21 @@ and turns the raw access stream into answers:
   (irregular strides but every cell touched about once — a chain
   walk), ``random`` (irregular strides with re-reads), or ``scalar``
   for queries too small to call;
-* :func:`simulate_page_cache` / :func:`advise` — the **prefetch
-  advisor**: replay the recorded trace through a simulated LRU page
-  cache, sweeping page size × capacity, and report the projected hit
-  rate each configuration would have had.  This quantifies ROADMAP
-  item 1's page-cache/prefetcher win *before* anyone builds it;
+* :func:`simulate_lru` / :func:`advise` — the **prefetch advisor**:
+  replay the recorded trace through a simulated LRU page cache,
+  sweeping page size × capacity, and report the projected hit rate
+  each configuration would have had.  There is no real page cache to
+  compare against: on the in-process simulator one lost wall time,
+  so the advisor is what a slower (remote) backend would consult
+  before anyone builds one;
 * :class:`AccessLog` — ``--access-trace`` JSONL export with the same
   head-based 1-in-N sampling discipline as the request-trace log.
 
 Hot-path discipline matches every prior observability layer: with
-access tracing off the evaluator splices the
-:class:`~repro.target.interface.AccessTracingBackend` hop out of the
-read path entirely (attach/detach rebinds the outer counter's bound
-methods), gated <5% on P3 by ``benchmarks/bench_access.py``;
-everything in this module runs only when a tracer is attached.
+access tracing off the only cost is the port's ``access is not None``
+predicate per read/write, gated <5% on P3 by
+``benchmarks/bench_access.py``; everything in this module runs only
+when a tracer is attached.
 """
 
 from __future__ import annotations
@@ -76,7 +77,7 @@ _CHASE_REVISIT = 0.05
 class AccessTracer:
     """A bounded, lock-safe ring of one query's target accesses.
 
-    Fed by :class:`~repro.target.interface.AccessTracingBackend` with
+    Fed by :class:`~repro.target.interface.TargetPort` with
     one :meth:`on_access` call per ``get_target_bytes`` /
     ``put_target_bytes``.  ``spans`` is the query's engine tracer
     (:class:`~repro.obs.trace.QueryTracer`); when given, each record
@@ -276,16 +277,15 @@ def compact_profile(profile: dict) -> dict:
 
 # -- the prefetch advisor ----------------------------------------------------
 
-def simulate_page_cache(records: list[tuple], page_size: int,
-                        capacity: int) -> dict:
+def simulate_lru(records: list[tuple], page_size: int,
+                 capacity: int) -> dict:
     """Replay the recorded trace through a simulated LRU page cache.
 
     Every access touches the page(s) covering its byte range; a page
     already resident is a hit (and refreshed), a missing page is a
     miss that evicts the least recently used page past ``capacity``.
     The projected hit rate is what a page-granular read cache in front
-    of ``get_target_bytes`` (ROADMAP item 1) would have delivered for
-    this exact query — measured from the trace, not guessed.
+    of ``get_target_bytes`` would have delivered for this exact query — measured from the trace, not guessed.
     """
     if page_size < 1 or capacity < 1:
         raise ValueError("page size and capacity must be >= 1")
@@ -320,7 +320,7 @@ def advise(records: list[tuple],
     capacity): the advisor should recommend the cheapest cache that
     achieves the hit rate, not the biggest.
     """
-    projections = [simulate_page_cache(records, page_size, capacity)
+    projections = [simulate_lru(records, page_size, capacity)
                    for page_size in page_sizes
                    for capacity in capacities]
     projections.sort(key=lambda p: (-p["hit_rate"],
@@ -329,17 +329,8 @@ def advise(records: list[tuple],
 
 
 def render_report(text: str, profile: dict,
-                  advice: list[dict],
-                  cache: Optional[dict] = None) -> list[str]:
-    """Human-readable lines for the REPL ``accesses`` command.
-
-    ``cache`` (when a real page cache is attached to the session) is
-    the :meth:`~repro.core.session.DuelSession.cache_report` dict:
-    the measured hit rate at the configured (page size, capacity)
-    point rendered next to the advisor's projection for the same
-    recorded trace, so operators can see whether the model that
-    recommended the configuration still predicts the cache they got.
-    """
+                  advice: list[dict]) -> list[str]:
+    """Human-readable lines for the REPL ``accesses`` command."""
     lines = [f"accesses: {text}"]
     lines.append(
         f"  {profile['accesses']} accesses "
@@ -382,24 +373,6 @@ def render_report(text: str, profile: dict,
             f"{best['hit_rate'] * 100:.1f}% of "
             f"{profile['accesses']} accesses served from cache "
             f"({best['misses']} bulk fetches)")
-    if cache:
-        lines.append(
-            f"  page cache ({cache['mode']}, {cache['page_size']}B × "
-            f"{cache['capacity']} pages): "
-            f"{cache['measured_hit_rate'] * 100:.1f}% hits measured, "
-            f"{cache['logical_reads']} logical → "
-            f"{cache['physical_reads']} physical reads")
-        projected = cache.get("projected_hit_rate")
-        if projected is not None:
-            gap = cache.get("projection_gap", 0.0)
-            lines.append(
-                f"  advisor projection at this point: "
-                f"{projected * 100:.1f}% hits "
-                f"(measured {gap * 100:+.1f}pp vs projected)")
-        if cache.get("prefetched_bytes"):
-            lines.append(
-                f"  prefetched {cache['prefetched_bytes']}B ahead of "
-                f"use (pattern: {cache['pattern']})")
     return lines
 
 

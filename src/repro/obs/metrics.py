@@ -219,7 +219,7 @@ class MetricsRegistry:
 
         ``stats`` is :meth:`ResourceGovernor.stats` output; ``traffic``
         carries per-query reads/writes/calls/allocs deltas from the
-        :class:`~repro.target.interface.TracingBackend`; ``phases``
+        :class:`~repro.target.interface.TargetPort`; ``phases``
         maps phase name (parse/eval/format) to milliseconds.
         """
         self.counter("queries_total").inc()

@@ -11,7 +11,7 @@ calls) attributed to it — plus, optionally, the full ordered stream of
 Hot-path discipline (same as the governor's): with tracing *off* the
 only cost is one predicate check per node activation in
 ``Evaluator.eval`` / ``StateMachineEvaluator.eval`` and one per target
-read in ``TracingBackend`` (bench-verified ≤5% on the P3 workload by
+read in ``TargetPort`` (bench-verified ≤5% on the P3 workload by
 ``benchmarks/bench_trace.py``).  With tracing *on*, every pull pays
 two ``perf_counter_ns`` calls and a stack push/pop.
 
@@ -219,7 +219,7 @@ class QueryTracer:
     machine); :meth:`finish` flushes span aggregates to the sink.
     Target traffic lands on the innermost active span via
     :meth:`on_read`/:meth:`on_write`/:meth:`on_call`, fed by
-    :class:`~repro.target.interface.TracingBackend`.
+    :class:`~repro.target.interface.TargetPort`.
     """
 
     __slots__ = ("sink", "spans", "_by_id", "_stack", "query_text")

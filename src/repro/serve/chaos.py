@@ -318,6 +318,12 @@ class ChaosProxy:
         listener = self._listener
         self._listener = None
         if listener is not None:
+            # shutdown() before close(): close() alone does not wake
+            # the accept thread blocked in accept().
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:

@@ -695,42 +695,7 @@ class DuelServer:
         if self.accesslog is not None:
             detail["accesses"]["exported"] = self.accesslog.exported
             detail["accesses"]["sample"] = self.accesslog.sample
-        detail["cache"] = self._cache_detail()
         return detail
-
-    def _cache_detail(self) -> dict:
-        """Fleet-wide page-cache section of :meth:`health_detail`.
-
-        Per-session caches all fold their per-query deltas into the
-        shared metrics registry, so the server-level view is just the
-        registry's ``cache_*`` counters plus the configured policy.
-        """
-        policy = self.sessions.page_cache_policy()
-        section: dict = {
-            "policy": policy.mode if policy is not None else "off"}
-        if policy is not None:
-            section["page_size"] = policy.page_size
-            section["capacity"] = policy.capacity
-        if self.metrics is not None:
-            hits = self.metrics.counter("cache_hits").value
-            misses = self.metrics.counter("cache_misses").value
-            looked = hits + misses
-            section.update({
-                "hits": hits,
-                "misses": misses,
-                "hit_rate": round(hits / looked, 4) if looked else 0.0,
-                "evictions":
-                    self.metrics.counter("cache_evictions").value,
-                "physical_reads":
-                    self.metrics.counter("physical_reads").value,
-                "logical_reads":
-                    self.metrics.counter("target_reads_total").value,
-                "prefetched_bytes":
-                    self.metrics.counter("prefetched_bytes").value,
-                "prefetch_hits":
-                    self.metrics.counter("prefetch_hits").value,
-            })
-        return section
 
     # -- the watchdog -------------------------------------------------------
     def _watchdog_loop(self) -> None:
@@ -1753,9 +1718,6 @@ def run_server(ns, program, limit_kwargs: dict, out,
     session_kwargs = dict(limit_kwargs)
     session_kwargs["symbolic"] = not ns.no_symbolic
     session_kwargs["optimize"] = ns.optimize
-    page_cache = getattr(ns, "page_cache_policy", None)
-    if page_cache is not None:
-        session_kwargs["page_cache"] = page_cache
     from repro.serve.journal import JournalError
     try:
         server = DuelServer(

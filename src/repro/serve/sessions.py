@@ -374,21 +374,6 @@ class SessionManager:
             session.accesslog = self._accesslog
         return session
 
-    def page_cache_policy(self):
-        """The page-cache policy sessions are built with (or None).
-
-        Normalized the same way :class:`~repro.core.session.
-        DuelSession` normalizes its ``page_cache`` argument, so the
-        health surface reports the policy actual sessions run under.
-        Factory-built sessions (tests) report None — the factory owns
-        their configuration.
-        """
-        policy = self._session_kwargs.get("page_cache")
-        if isinstance(policy, str):
-            from repro.target.pagecache import parse_policy
-            policy = None if policy == "off" else parse_policy(policy)
-        return policy
-
     def _journal_append(self, kind: str, **fields) -> None:
         if self.journal is not None:
             self.journal.append(kind, **fields)

@@ -14,29 +14,24 @@ for robustness testing and a live-gdb binding
 """
 
 from repro.target.interface import (
-    AccessTracingBackend,
     DebuggerInterface,
     FaultInjectingBackend,
-    GovernedBackend,
     SimulatorBackend,
+    TargetPort,
 )
 from repro.target.memory import Memory, TargetMemoryFault
-from repro.target.pagecache import PageCachePolicy, PageCachingBackend
 from repro.target.program import TargetProgram
 from repro.target.symbols import Symbol, SymbolKind, SymbolTable
 
 __all__ = [
-    "AccessTracingBackend",
     "DebuggerInterface",
     "FaultInjectingBackend",
-    "GovernedBackend",
     "Memory",
-    "PageCachePolicy",
-    "PageCachingBackend",
     "SimulatorBackend",
     "Symbol",
     "SymbolKind",
     "SymbolTable",
     "TargetMemoryFault",
+    "TargetPort",
     "TargetProgram",
 ]

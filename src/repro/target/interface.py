@@ -7,9 +7,11 @@ Debugger — Revisited*: keep the unreliable target access behind a tiny
 interface).  :class:`SimulatorBackend` binds it to a simulated
 :class:`~repro.target.program.TargetProgram`;
 :class:`~repro.target.gdbadapter.GdbBackend` binds the same interface
-to a live gdb.  :class:`FaultInjectingBackend` wraps any backend with
-deterministic fault injection so the error-reporting and recovery
-paths can be tested without a flaky real target.
+to a live gdb.  :class:`TargetPort` is the single hop the evaluator
+puts in front of whichever backend it is given: it counts, traces and
+governs target traffic.  :class:`FaultInjectingBackend` wraps any
+backend with deterministic fault injection so the error-reporting and
+recovery paths can be tested without a flaky real target.
 """
 
 from __future__ import annotations
@@ -141,136 +143,82 @@ class SimulatorBackend(DebuggerInterface):
         return self.program.call(target, raw_args)
 
 
-class GovernedBackend:
-    """Meters target traffic against a query's resource governor.
+class TargetPort:
+    """The one hop between the evaluator and the backend it was given.
 
-    The evaluator wraps its backend in this before use, so the
-    boundary Hanson's design keeps narrow is also where quotas are
-    enforced: target function calls and scratch allocations charge the
-    ``calls`` / ``allocs`` quotas, and both honour the cooperative
-    cancel token first — a ^C lands *between* target operations, not
-    only between generator steps.  Everything else delegates
-    transparently (reads stay zero-overhead: the step budget already
-    bounds them, one step per value).
+    Every read, write, call and allocation a query performs — whichever
+    engine drives it — passes through here, in this order:
+
+    1. count it (the cumulative :attr:`reads`/:attr:`writes`/
+       :attr:`calls`/:attr:`allocs` the session takes per-query deltas
+       of);
+    2. report it to the span tracer (:attr:`tracer`, a
+       :class:`~repro.obs.trace.QueryTracer`), which lands it on the
+       AST node currently being pulled;
+    3. stream reads and writes to the access tracer (:attr:`access`,
+       an :class:`~repro.obs.access.AccessTracer`, or anything with an
+       ``on_access(op, address, size)`` method);
+    4. for calls and allocations, honour the governor's cancel token
+       and charge its ``calls``/``allocs`` quota — so a ^C lands
+       *between* target operations, not only between generator steps.
+       Reads stay unmetered: the step budget already bounds them.
+
+    Both tracers are plain attributes, None when off, so an untraced
+    read costs one increment and two predicates.  Everything else is
+    delegated to ``inner`` unchanged.
     """
 
     def __init__(self, inner: DebuggerInterface, governor):
         self.inner = inner
         self.governor = governor
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def call_target_func(self, target, raw_args: Sequence):
-        governor = self.governor
-        governor.checkpoint()
-        governor.charge("calls")
-        return self.inner.call_target_func(target, raw_args)
-
-    def alloc_target_space(self, size: int) -> int:
-        governor = self.governor
-        governor.checkpoint()
-        governor.charge("allocs")
-        return self.inner.alloc_target_space(size)
-
-
-class TracingBackend:
-    """Counts target traffic and attributes it to the active trace span.
-
-    Sits outermost in the evaluator's wrapper chain (around
-    :class:`GovernedBackend`), so every read/write/call/alloc the
-    query performs — whichever engine drives it — bumps a process-wide
-    counter here, and, when a
-    :class:`~repro.obs.trace.QueryTracer` is attached, lands on the
-    AST node currently being pulled.  With tracing off the per-read
-    cost is one increment and one predicate check; the bound inner
-    methods are resolved once at construction to keep the
-    ``__getattr__`` delegation hop off the read/write hot path.
-    """
-
-    def __init__(self, inner, tracer=None):
-        self.inner = inner
-        self.tracer = tracer
+        #: The active span tracer, or None.
+        self.tracer = None
+        #: The active memory-access tracer, or None.
+        self.access = None
         self.reads = 0
         self.writes = 0
         self.calls = 0
         self.allocs = 0
-        self._inner_get = inner.get_target_bytes
-        self._inner_put = inner.put_target_bytes
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    # -- metered hot paths -------------------------------------------------
     def get_target_bytes(self, address: int, size: int) -> bytes:
         self.reads += 1
         tracer = self.tracer
         if tracer is not None:
             tracer.on_read()
-        return self._inner_get(address, size)
+        access = self.access
+        if access is not None:
+            access.on_access("r", address, size)
+        return self.inner.get_target_bytes(address, size)
 
     def put_target_bytes(self, address: int, data: bytes) -> None:
         self.writes += 1
         tracer = self.tracer
         if tracer is not None:
             tracer.on_write()
-        self._inner_put(address, data)
+        access = self.access
+        if access is not None:
+            access.on_access("w", address, len(data))
+        self.inner.put_target_bytes(address, data)
 
     def call_target_func(self, target, raw_args: Sequence):
         self.calls += 1
         tracer = self.tracer
         if tracer is not None:
             tracer.on_call()
+        governor = self.governor
+        governor.checkpoint()
+        governor.charge("calls")
         return self.inner.call_target_func(target, raw_args)
 
     def alloc_target_space(self, size: int) -> int:
         self.allocs += 1
+        governor = self.governor
+        governor.checkpoint()
+        governor.charge("allocs")
         return self.inner.alloc_target_space(size)
-
-    # -- reporting ---------------------------------------------------------
-    def counts(self) -> dict:
-        """The cumulative traffic counters as a plain dict."""
-        return {"reads": self.reads, "writes": self.writes,
-                "calls": self.calls, "allocs": self.allocs}
-
-
-class AccessTracingBackend:
-    """Streams each target access (op, address, size) to a tracer.
-
-    The memory-access observatory's hook, sitting *inside*
-    :class:`TracingBackend` (which owns the scalar counters and span
-    attribution) and outside :class:`GovernedBackend` — so the
-    addresses it sees are exactly the ones the evaluator asked for,
-    whatever engine drives the query.  Same hot-path discipline as its
-    neighbours, taken one step further: with no tracer attached the
-    evaluator splices this hop out of the read/write path entirely
-    (:meth:`~repro.core.eval.Evaluator.set_access_tracer` repoints the
-    outer counter's bound methods), so direct use costs one predicate
-    and the shipped stack costs nothing.  The tracer is an
-    :class:`~repro.obs.access.AccessTracer` (anything with an
-    ``on_access(op, address, size)`` method works).
-    """
-
-    def __init__(self, inner, tracer=None):
-        self.inner = inner
-        self.tracer = tracer
-        self._inner_get = inner.get_target_bytes
-        self._inner_put = inner.put_target_bytes
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
-
-    def get_target_bytes(self, address: int, size: int) -> bytes:
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_access("r", address, size)
-        return self._inner_get(address, size)
-
-    def put_target_bytes(self, address: int, data: bytes) -> None:
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.on_access("w", address, len(data))
-        self._inner_put(address, data)
 
 
 class FaultInjectingBackend(DebuggerInterface):

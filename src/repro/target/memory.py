@@ -60,25 +60,10 @@ class Region:
 
 
 class Memory:
-    """A region-mapped address space with guarded byte access.
-
-    ``epoch`` is a monotone counter bumped by every mutation of the
-    address space — writes, fresh mappings, unmappings — and by
-    snapshot restore (which rebuilds the region map through
-    ``unmap``/``map_new`` and then advances past the snapshot's own
-    epoch).  Read caches stacked in front of the target key their
-    contents on it: a cached page is valid only while the epoch it
-    was filled under is still current, so any mutation anywhere —
-    a query write, an injected unmap, execution control inside the
-    mini-C interpreter, a rollback — invalidates stale bytes without
-    the mutator knowing which caches exist.
-    """
+    """A region-mapped address space with guarded byte access."""
 
     def __init__(self) -> None:
         self._regions: list[Region] = []
-        #: Monotone memory-generation counter (never reset, never
-        #: rewound — snapshot restore advances it).
-        self.epoch: int = 0
 
     # -- mapping -----------------------------------------------------------
     def map_new(self, name: str, base: int, size: int) -> Region:
@@ -100,7 +85,6 @@ class Memory:
         region = Region(name, base, size)
         self._regions.append(region)
         self._regions.sort(key=lambda r: r.base)
-        self.epoch += 1
         return region
 
     def unmap(self, name: str) -> Region:
@@ -108,7 +92,6 @@ class Memory:
         for region in self._regions:
             if region.name == name:
                 self._regions.remove(region)
-                self.epoch += 1
                 return region
         raise TargetMemoryFault(0, 0, "unmap", f"no region named {name!r}")
 
@@ -167,4 +150,3 @@ class Memory:
         region = self._locate(address, len(data), "write")
         offset = address - region.base
         region.data[offset:offset + len(data)] = data
-        self.epoch += 1

@@ -35,11 +35,6 @@ class Snapshot:
     output: list
     data_next: int
     text_next: int
-    #: Memory epoch at capture time.  ``restore`` never rewinds the
-    #: live counter to this value — it advances *past* it, so page
-    #: caches filled before the restore (or, after a crash, before
-    #: the checkpoint was taken) can never serve stale bytes.
-    epoch: int = 0
 
     def serialize(self) -> bytes:
         """A durable byte encoding of this snapshot.
@@ -65,7 +60,6 @@ class Snapshot:
             "output": self.output,
             "data_next": self.data_next,
             "text_next": self.text_next,
-            "epoch": self.epoch,
         }
         body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         return SNAP_MAGIC + zlib.compress(body, 1)
@@ -108,7 +102,6 @@ class Snapshot:
             output=payload["output"],
             data_next=payload["data_next"],
             text_next=payload["text_next"],
-            epoch=payload.get("epoch", 0),
         )
 
 
@@ -131,7 +124,6 @@ def take(program: TargetProgram) -> Snapshot:
         output=list(program.output),
         data_next=program._data_next,
         text_next=program._text_next,
-        epoch=program.memory.epoch,
     )
 
 
@@ -169,10 +161,3 @@ def restore(program: TargetProgram, snapshot: Snapshot) -> None:
     program.output[:] = snapshot.output
     program._data_next = snapshot.data_next
     program._text_next = snapshot.text_next
-    # The epoch is monotone even across rewinds: a restore *changes*
-    # memory relative to what readers may have cached, so it must move
-    # the counter forward — past both the live value and whatever the
-    # snapshot recorded (the latter matters after crash recovery,
-    # where the rebuilt program's counter starts near zero but clients
-    # of the pre-crash server were at the checkpoint's epoch).
-    memory.epoch = max(memory.epoch, snapshot.epoch) + 1

@@ -265,11 +265,11 @@ def traced_accesses(rig_pair, node, drive):
     session, sm = rig_pair
     session.evaluator.reset()
     tracer = AccessTracer()
-    session.evaluator.set_access_tracer(tracer)
+    session.evaluator.backend.access = tracer
     try:
         drive(session, sm, node)
     finally:
-        session.evaluator.set_access_tracer(None)
+        session.evaluator.backend.access = None
     return tracer
 
 

@@ -74,6 +74,11 @@ def test_engines_record_the_same_statements_key(rig, text):
     """Driving through either engine lands on one table entry."""
     gen_session, sm_session = rig
     table = StatementStats()
+    # Each example is a fresh query: without a reset the shared
+    # sessions' step counters accumulate across examples until the
+    # step budget trips on whichever example runs next.
+    gen_session.evaluator.reset()
+    sm_session.evaluator.reset()
 
     node = gen_session.compile(text)
     list(gen_session.evaluator.eval(node))

@@ -11,9 +11,10 @@ from repro.obs.access import (ADVISOR_CAPACITIES, ADVISOR_PAGE_SIZES,
                               PATTERNS, AccessLog, AccessTracer,
                               _merge_intervals, advise, classify_pattern,
                               compact_profile, profile_records,
-                              render_report, simulate_page_cache)
+                              render_report, simulate_lru)
 from repro.target import builder
-from repro.target.interface import AccessTracingBackend
+from repro.core.governor import ResourceGovernor
+from repro.target.interface import TargetPort
 
 
 def reads(addresses, size=4):
@@ -57,10 +58,14 @@ class TestAccessTracer:
 
 
 class TestAccessTracingBackend:
+    """The target port's access-tracing hop."""
+
     def backend(self, tracer=None):
         program = TargetProgram()
         builder.int_array(program, "x", [1, 2, 3])
-        return AccessTracingBackend(SimulatorBackend(program), tracer)
+        port = TargetPort(SimulatorBackend(program), ResourceGovernor())
+        port.access = tracer
+        return port
 
     def test_passes_reads_and_writes_through(self):
         backend = self.backend()
@@ -84,7 +89,8 @@ class TestAccessTracingBackend:
         backend = self.backend()
         address = backend.get_target_variable("x").address
         backend.get_target_bytes(address, 4)
-        assert backend.tracer is None
+        assert backend.access is None
+        assert backend.reads == 1
 
     def test_delegates_other_backend_methods(self):
         backend = self.backend()
@@ -217,7 +223,7 @@ class TestProfileRecords:
 class TestPageCacheSimulation:
     def test_sequential_scan_hits_within_page(self):
         # 16 reads per 64B page: 1 miss + 15 hits each.
-        result = simulate_page_cache(sequential(64), 64, 4)
+        result = simulate_lru(sequential(64), 64, 4)
         assert result["misses"] == 4
         assert result["hits"] == 60
         assert result["hit_rate"] == round(60 / 64, 4)
@@ -226,25 +232,25 @@ class TestPageCacheSimulation:
     def test_lru_eviction(self):
         # Cycle over 3 pages with capacity 2: every touch misses.
         records = reads([0, 64, 128] * 4, size=4)
-        result = simulate_page_cache(records, 64, 2)
+        result = simulate_lru(records, 64, 2)
         assert result["hits"] == 0
         assert result["misses"] == 12
 
     def test_capacity_large_enough_caches_the_working_set(self):
         records = reads([0, 64, 128] * 4, size=4)
-        result = simulate_page_cache(records, 64, 3)
+        result = simulate_lru(records, 64, 3)
         assert result["misses"] == 3
         assert result["hits"] == 9
 
     def test_empty_trace(self):
-        result = simulate_page_cache([], 64, 4)
+        result = simulate_lru([], 64, 4)
         assert result["hit_rate"] == 0.0
 
     def test_parameters_validated(self):
         with pytest.raises(ValueError):
-            simulate_page_cache([], 0, 4)
+            simulate_lru([], 0, 4)
         with pytest.raises(ValueError):
-            simulate_page_cache([], 64, 0)
+            simulate_lru([], 64, 0)
 
 
 class TestAdvise:

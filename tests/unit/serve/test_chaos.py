@@ -131,6 +131,15 @@ class TestFaultPlan:
 
 
 class TestProxy:
+    def test_stop_on_an_idle_proxy_returns_promptly(self, echo):
+        proxy = ChaosProxy(("127.0.0.1", echo.port))
+        proxy.start()
+        accept_thread = proxy._accept_thread
+        started = time.monotonic()
+        proxy.stop()
+        assert time.monotonic() - started < 1.0
+        assert not accept_thread.is_alive()
+
     def test_clean_plan_passes_bytes_through(self, echo):
         with ChaosProxy(("127.0.0.1", echo.port)) as proxy:
             sock = dial(proxy.port)

@@ -149,6 +149,26 @@ class TestSerializedSnapshots:
         assert rebuilt.call("strlen",
                             [rebuilt.intern_string("four")]) == 4
 
+    def test_checkpoint_with_epoch_key_still_restores(self, program):
+        """Checkpoints written while the payload carried a memory
+        ``"epoch"`` (for a page cache that no longer exists) recover."""
+        import pickle
+        import zlib
+        builder.int_array(program, "x", [5, 6, 7])
+        blob = snapshot.take(program).serialize()
+        payload = pickle.loads(zlib.decompress(
+            blob[len(snapshot.SNAP_MAGIC):]))
+        payload["epoch"] = 1234
+        legacy = snapshot.SNAP_MAGIC + zlib.compress(pickle.dumps(payload))
+
+        rebuilt = self.fresh()
+        snap = snapshot.Snapshot.deserialize(legacy, rebuilt)
+        snapshot.restore(rebuilt, snap)
+        session = DuelSession(SimulatorBackend(rebuilt))
+        assert session.eval_values("x[..3]") == [5, 6, 7]
+        session.eval_lines("x[0] = 9")
+        assert session.eval_values("x[0]") == [9]
+
     def test_bad_magic_rejected(self, program):
         with pytest.raises(ValueError, match="not a serialized"):
             snapshot.Snapshot.deserialize(b"NOTASNAP" + b"\0" * 16,
